@@ -57,6 +57,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -234,8 +235,12 @@ func printHuman(m *ebmf.Matrix, res *ebmf.Result, factors bool) {
 		fmt.Printf("  (upper bound; lower bound %d%s)", lowerBound(res), timedOut(res))
 	}
 	fmt.Println()
-	fmt.Printf("bounds: rank=%d fooling=%d heuristic=%d\n",
-		res.RankLB, res.FoolingLB, res.HeuristicDepth)
+	fooling := strconv.Itoa(res.FoolingLB)
+	if res.FoolingLB == 0 && m.Ones() > 0 {
+		fooling = "n/a" // not computed: packing met the rank bound, or -fooling 0
+	}
+	fmt.Printf("bounds: rank=%d fooling=%s heuristic=%d\n",
+		res.RankLB, fooling, res.HeuristicDepth)
 	fmt.Printf("effort: pack=%v sat=%v (%d calls, %d conflicts)\n",
 		res.PackTime.Round(time.Microsecond), res.SATTime.Round(time.Microsecond),
 		res.SATCalls, res.Conflicts)

@@ -105,7 +105,9 @@ type Options struct {
 	// FoolingBudget is the node budget for the exact fooling-set lower
 	// bound; 0 skips the fooling bound entirely (the paper's loop uses only
 	// the rank bound; fooling strengthens certificates on small instances).
-	// The budget applies per block.
+	// The budget applies per block, and the search runs only on blocks whose
+	// packing depth is still above the rank bound: elsewhere it could change
+	// neither the depth nor the certificate.
 	FoolingBudget int64
 	// DisableCompression solves on the raw matrix instead of the
 	// deduplicated reduction.
@@ -203,9 +205,13 @@ type Result struct {
 	// RankLB is the rational-rank lower bound (Eq. 3; summed over blocks —
 	// rank is additive over the connected-component decomposition).
 	RankLB int
-	// FoolingLB is the best fooling-set lower bound computed (0 if
-	// skipped). Blockwise fooling sets union into a fooling set of the
-	// whole matrix, so this too is summed over blocks.
+	// FoolingLB is the best fooling-set lower bound computed, summed over
+	// the blocks where the search ran (blockwise fooling sets union into a
+	// fooling set of the whole matrix). A block contributes 0 when the
+	// bound was not computed: packing met the rank bound, so the search
+	// could not change the depth or the certificate, or FoolingBudget is 0.
+	// Any non-empty block has a fooling set of size ≥ 1, so 0 on a
+	// non-empty matrix always means "not computed".
 	FoolingLB int
 	// Optimal reports whether Depth is proved minimal, i.e. Depth = r_B(M).
 	// After decomposition this holds iff every block was solved optimally.
@@ -544,26 +550,37 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 			bsp.SetAttrInt("depth", int64(res.Partition.Depth()))
 		}
 		bsp.SetAttrInt("conflicts", res.Conflicts)
+		bsp.SetAttrInt("rank_lb", int64(res.RankLB))
+		bsp.SetAttrInt("fooling_lb", int64(res.FoolingLB))
 	}()
+
+	// Bound-first: the rational rank (Eq. 3) comes before packing, so the
+	// packer can stop at the first trial that meets it and the fooling
+	// search runs only while packing is still above it.
+	res.RankLB = m.Rank()
+	lb := res.RankLB
 
 	// Stage 1: heuristic upper bound (Algorithm 1, line 1).
 	t0 := time.Now()
 	_, psp := obs.StartSpan(ctx, "pack")
-	best := rowpack.Pack(m, opts.Packing)
+	best, trials := rowpack.PackTo(m, opts.Packing, lb)
 	psp.SetAttrInt("depth", int64(best.Depth()))
+	psp.SetAttrInt("trials", int64(trials))
 	psp.End()
 	res.PackTime = time.Since(t0)
 	res.HeuristicDepth = best.Depth()
 
-	// Lower bounds.
-	res.RankLB = m.Rank()
-	lb := res.RankLB
-	if opts.FoolingBudget > 0 {
+	// Fooling-set bound, only where it can still matter: once packing meets
+	// rank, r_B = RankLB, so FoolingLB ≤ RankLB could neither raise the bound
+	// nor change the certificate (markOptimalByBound picks rank on ties).
+	if opts.FoolingBudget > 0 && best.Depth() > lb {
 		fs, _ := fooling.Exact(m, opts.FoolingBudget)
 		res.FoolingLB = len(fs)
 		if res.FoolingLB > lb {
 			lb = res.FoolingLB
 		}
+	} else {
+		bsp.SetAttr("fooling", "skipped")
 	}
 
 	optimalByBound := func() { res.markOptimalByBound() }

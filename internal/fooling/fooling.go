@@ -145,8 +145,11 @@ func buildGraph(m *bitmat.Matrix) *graph {
 // Greedy returns a (maximal, not necessarily maximum) fooling set of m,
 // built by repeatedly taking the candidate entry with the most remaining
 // compatible candidates.
-func Greedy(m *bitmat.Matrix) [][2]int {
-	g := buildGraph(m)
+func Greedy(m *bitmat.Matrix) [][2]int { return greedy(buildGraph(m)) }
+
+// greedy is Greedy over an already built compatibility graph, so Exact can
+// seed its incumbent without building the graph a second time.
+func greedy(g *graph) [][2]int {
 	n := len(g.pos)
 	if n == 0 {
 		return nil
@@ -191,7 +194,7 @@ func Exact(m *bitmat.Matrix, budget int64) (set [][2]int, ok bool) {
 		return nil, true
 	}
 	// Seed the incumbent with the greedy solution.
-	best := Greedy(m)
+	best := greedy(g)
 	bestSize := len(best)
 
 	cand := newBitset(n)

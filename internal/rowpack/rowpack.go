@@ -10,7 +10,8 @@
 // vectors strictly containing the residue are shrunk so that smaller basis
 // vectors improve later packings. Because the greedy decomposition follows
 // basis order, the heuristic is run multiple times with shuffled row orders,
-// and on the transpose, keeping the best result.
+// and on the transpose, keeping the best result. PackTo stops those trials
+// early once the best result meets a known lower bound, such as the rank.
 package rowpack
 
 import (
@@ -106,13 +107,30 @@ func trivialCols(m *bitmat.Matrix) *rect.Partition {
 // across trials and orientations. The result is always a valid EBMF of m and
 // never worse than the trivial heuristic.
 func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
+	p, _ := PackTo(m, opts, 0)
+	return p
+}
+
+// PackTo is Pack with a depth floor: it stops running trials as soon as the
+// best partition so far, the trivial seed included, has depth ≤ floor. It
+// also returns the number of packOnce runs made. When floor is a lower
+// bound on the binary rank (the rational rank, say), the partition is
+// identical to Pack's: the incumbent is replaced only on a strictly smaller
+// depth, and no partition goes below the bound, so the skipped runs could
+// not have changed it.
+func PackTo(m *bitmat.Matrix, opts Options, floor int) (*rect.Partition, int) {
 	if opts.Trials < 1 {
 		opts.Trials = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	best := Trivial(m)
+	runs := 0
 
 	run := func(target *bitmat.Matrix, transposed bool) {
+		if best.Depth() <= floor {
+			return
+		}
+		runs++
 		perm := orderFor(rng, target, opts)
 		p := packOnce(target, perm, opts)
 		if transposed {
@@ -124,7 +142,7 @@ func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
 	}
 
 	mt := m.Transpose()
-	for trial := 0; trial < opts.Trials; trial++ {
+	for trial := 0; trial < opts.Trials && best.Depth() > floor; trial++ {
 		run(m, false)
 		if !opts.SkipTranspose {
 			run(mt, true)
@@ -133,7 +151,7 @@ func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
 			break // deterministic orders do not benefit from more trials
 		}
 	}
-	return best
+	return best, runs
 }
 
 // orderFor produces the row processing order for one trial.

@@ -200,6 +200,11 @@ type RectJSON struct {
 
 // ResultJSON is the wire form of core.Result — the body of a /v1/solve
 // response and of `ebmf -json` output.
+//
+// fooling_lb is the fooling-set lower bound summed over the blocks where
+// the search ran. 0 on a non-empty matrix means not computed: packing met
+// the rank bound, which already certifies the depth, or the solver's
+// fooling budget is 0 (see core.Result.FoolingLB).
 type ResultJSON struct {
 	// API echoes the wire schema version the result was produced under.
 	API            int            `json:"api,omitempty"`
