@@ -240,7 +240,8 @@ func BenchmarkAblationEncodingLog(b *testing.B) {
 }
 
 // Ablation 2: at-most-one encodings. Native is the default (the solver's
-// built-in propagator); pairwise and sequential are the encoded ablations.
+// built-in propagator); pairwise is the encoded ablation and the DRAT
+// expansion of the native groups.
 func BenchmarkAblationAMONative(b *testing.B) {
 	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
 		return encode.NewOneHot(m, bound, encode.AMONative)
@@ -250,12 +251,6 @@ func BenchmarkAblationAMONative(b *testing.B) {
 func BenchmarkAblationAMOPairwise(b *testing.B) {
 	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
 		return encode.NewOneHot(m, bound, encode.AMOPairwise)
-	})
-}
-
-func BenchmarkAblationAMOSequential(b *testing.B) {
-	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
-		return encode.NewOneHot(m, bound, encode.AMOSequential)
 	})
 }
 
@@ -380,18 +375,6 @@ func BenchmarkSolverFig1bUnsat(b *testing.B) {
 func BenchmarkSAPTableIGap(b *testing.B) {
 	ms := eval.GapSuiteMatrices()
 	opts := eval.TableIGapSAPOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval.RunGapSuiteSAP(ms, opts)
-	}
-}
-
-// BenchmarkSAPTableIGapPortfolio is the racing twin of SAPTableIGap: the
-// same suite and budgets with a 3-strategy clause-sharing portfolio per
-// block. The gap between the two is what racing buys (or costs) end to end.
-func BenchmarkSAPTableIGapPortfolio(b *testing.B) {
-	ms := eval.GapSuiteMatrices()
-	opts := eval.TableIGapPortfolioOptions(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eval.RunGapSuiteSAP(ms, opts)

@@ -11,20 +11,15 @@
 //
 //	-trials N          row-packing trials (default 100)
 //	-encoding E        onehot | log (default onehot)
-//	-amo M             at-most-one handling for onehot: native | pairwise |
-//	                   sequential (default native — the solver's built-in
-//	                   propagator; the others are encoded ablations)
+//	-amo M             at-most-one handling for onehot: native | pairwise
+//	                   (default native — the solver's built-in propagator;
+//	                   pairwise is the encoded ablation; sequential is
+//	                   accepted as an alias of native)
 //	-no-inprocess      disable between-restart clause simplification
 //	-budget N          SAT conflict budget, 0 = unlimited (default 2000000)
 //	-timeout D         SAT wall-clock budget, e.g. 30s (default unlimited)
 //	-fooling N         fooling-set node budget, 0 = skip (default 200000)
 //	-heuristic         skip the exact stage
-//	-portfolio K       race K diverse solver strategies per block (0 = off)
-//	-share-clauses     exchange short learnt clauses between racers
-//	-strategies S      comma-separated strategy names (canonical, luby,
-//	                   destructive, no-phase, seq-amo, native-amo,
-//	                   pairwise-amo, glue4, no-symbreak, luby-destructive,
-//	                   log); names are validated up front; implies -portfolio
 //	-factors           print the H and W factors
 //	-schedule          print the AOD schedule and per-shot frames
 //	-schedule-json F   write the AOD schedule as JSON to F ('-' for stdout)
@@ -56,9 +51,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	ebmf "repro"
@@ -66,7 +59,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 	"repro/internal/wire"
 )
 
@@ -84,15 +76,12 @@ func main() {
 func run() int {
 	trials := flag.Int("trials", 100, "row-packing trials")
 	encoding := flag.String("encoding", "onehot", "CNF encoding: onehot or log")
-	amoMode := flag.String("amo", "native", "at-most-one handling: native, pairwise or sequential")
+	amoMode := flag.String("amo", "native", "at-most-one handling: native or pairwise (sequential = native)")
 	noInprocess := flag.Bool("no-inprocess", false, "disable between-restart clause simplification (ablation)")
 	budget := flag.Int64("budget", 2_000_000, "SAT conflict budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "SAT wall-clock budget (0 = unlimited)")
 	fooling := flag.Int64("fooling", 200_000, "fooling-set node budget (0 = skip the fooling bound)")
 	heuristic := flag.Bool("heuristic", false, "skip the exact stage")
-	portfolioK := flag.Int("portfolio", 0, "race K diverse solver strategies per block (0 = off)")
-	shareClauses := flag.Bool("share-clauses", false, "exchange short learnt clauses between racers")
-	strategies := flag.String("strategies", "", "comma-separated racing strategy names (implies -portfolio)")
 	factors := flag.Bool("factors", false, "print EBMF factors H and W")
 	schedule := flag.Bool("schedule", false, "print the AOD schedule")
 	schedJSON := flag.String("schedule-json", "", "write the AOD schedule as JSON to this file ('-' for stdout)")
@@ -135,11 +124,6 @@ func run() int {
 			ConflictBudget: *budget,
 			TimeoutMS:      timeout.Milliseconds(),
 			Heuristic:      *heuristic,
-			Portfolio:      *portfolioK,
-			ShareClauses:   *shareClauses,
-		}
-		if *strategies != "" {
-			wopts.PortfolioStrategies = strings.Split(*strategies, ",")
 		}
 		return runRemote(*serverURL, *apiKey, *degrade, *callback, m, wopts, *jsonOut, *quiet)
 	}
@@ -164,17 +148,6 @@ func run() int {
 	}
 	opts.AMO = amo
 	opts.DisableInprocessing = *noInprocess
-	opts.Portfolio.Size = *portfolioK
-	opts.Portfolio.ShareClauses = *shareClauses
-	if *strategies != "" {
-		names := strings.Split(*strategies, ",")
-		// Validate up front: a typo should be a flag error naming the valid
-		// set, not a failure halfway through the solve.
-		if _, err := portfolio.Resolve(portfolio.Canonical(), names); err != nil {
-			return fail(err)
-		}
-		opts.Portfolio.Strategies = names
-	}
 
 	// Tracing uses the context-carrying solve entry point; without the flags
 	// the plain path runs untouched (no tracer, no context plumbing).
@@ -244,19 +217,6 @@ func printHuman(m *ebmf.Matrix, res *ebmf.Result, factors bool) {
 	fmt.Printf("effort: pack=%v sat=%v (%d calls, %d conflicts)\n",
 		res.PackTime.Round(time.Microsecond), res.SATTime.Round(time.Microsecond),
 		res.SATCalls, res.Conflicts)
-	if p := res.Portfolio; p != nil {
-		names := make([]string, 0, len(p.Wins))
-		for name := range p.Wins {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var wins []string
-		for _, name := range names {
-			wins = append(wins, fmt.Sprintf("%s:%d", name, p.Wins[name]))
-		}
-		fmt.Printf("race:   wins={%s} cancelled=%d conflicts, shared %d→%d clauses\n",
-			strings.Join(wins, " "), p.LoserConflicts, p.SharedExported, p.SharedImported)
-	}
 	fmt.Print(res.Partition)
 
 	if factors {

@@ -538,7 +538,6 @@ func (it *solveItem) liftJSON(canon *wire.ResultJSON, hit bool) (*wire.ResultJSO
 		out.Conflicts = 0
 		out.PackNS = 0
 		out.SATNS = 0
-		out.Portfolio = nil
 	}
 	return &out, nil
 }

@@ -37,7 +37,6 @@ import (
 	"repro/internal/encode"
 	"repro/internal/fooling"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 	"repro/internal/rect"
 	"repro/internal/rowpack"
 	"repro/internal/sat"
@@ -149,41 +148,6 @@ type Options struct {
 	// with literal-blocks-distance at or below the cap are never evicted by
 	// database reduction. 0 keeps the solver default (2).
 	LBDCap int
-	// Portfolio configures per-block strategy racing (internal/portfolio):
-	// K diverse solver configurations attack each block's depth decisions
-	// concurrently and the first verdict wins. Default off (Size ≤ 1) so
-	// the single-strategy ablations stay clean.
-	Portfolio PortfolioOptions
-}
-
-// PortfolioOptions tunes the per-block racing layer.
-type PortfolioOptions struct {
-	// Size is the number of racers K; ≤ 1 disables racing.
-	Size int
-	// Strategies optionally names the racing set explicitly ("canonical"
-	// plus names from portfolio.Names()). Empty means a default diverse set
-	// seeded deterministically from each block's fingerprint. When set, its
-	// length overrides Size.
-	Strategies []string
-	// ShareClauses exchanges short glue clauses (LBD ≤ 2, length ≤ 8)
-	// between racers of the same encoding family.
-	ShareClauses bool
-	// StrategyBudgets caps each racer's lifetime conflicts (aligned with
-	// the resolved strategy list; ≤ 0 entries mean uncapped). Primarily a
-	// test/ablation hook: forcing each strategy to win in turn is how the
-	// determinism contract is exercised.
-	StrategyBudgets []int64
-	// HeadStart is the solo-phase conflict budget before the competitors
-	// launch (0 = the portfolio default, negative = race immediately).
-	HeadStart int64
-}
-
-// Enabled reports whether the options ask for the racing layer. A single
-// named strategy counts: it runs that strategy solo through the race
-// machinery (the documented "-strategies implies -portfolio" contract, and
-// the way to ablate one non-canonical configuration).
-func (p PortfolioOptions) Enabled() bool {
-	return p.Size > 1 || len(p.Strategies) > 0
 }
 
 // DefaultOptions mirror the paper's configuration at moderate effort:
@@ -250,48 +214,10 @@ type Result struct {
 	// summed over blocks — with Parallelism > 1 these are aggregate
 	// per-block times and may exceed the wall clock.
 	PackTime, SATTime time.Duration
-	// Portfolio carries racing provenance (nil when racing was off). With
-	// racing on, Conflicts includes the cancelled racers' work; the
-	// winner-only share is Conflicts − Portfolio.LoserConflicts.
-	Portfolio *PortfolioStats
-}
-
-// PortfolioStats aggregates per-block racing outcomes across the solve.
-type PortfolioStats struct {
-	// Wins counts race-round wins per strategy name.
-	Wins map[string]int
-	// BlockWinners records, in block order, the strategy that decided each
-	// raced block's final round ("" for blocks that never reached the SAT
-	// stage or timed out undecided).
-	BlockWinners []string
-	// LoserConflicts is the total conflicts spent by cancelled or
-	// exhausted racers — the redundant work racing paid for its latency.
-	LoserConflicts int64
-	// SharedExported and SharedImported count clause-exchange traffic.
-	SharedExported, SharedImported int64
-}
-
-// merge folds a block's racing stats into the solve-wide aggregate.
-func (p *PortfolioStats) merge(b *PortfolioStats) {
-	if b == nil {
-		p.BlockWinners = append(p.BlockWinners, "")
-		return
-	}
-	if p.Wins == nil {
-		p.Wins = map[string]int{}
-	}
-	for name, n := range b.Wins {
-		p.Wins[name] += n
-	}
-	p.BlockWinners = append(p.BlockWinners, b.BlockWinners...)
-	p.LoserConflicts += b.LoserConflicts
-	p.SharedExported += b.SharedExported
-	p.SharedImported += b.SharedImported
 }
 
 // markOptimalByBound records optimality established by the depth meeting a
-// lower bound, with the certificate naming the stronger bound. Shared by the
-// sequential and racing block solvers so their certificates cannot drift.
+// lower bound, with the certificate naming the stronger bound.
 func (r *Result) markOptimalByBound() {
 	r.Optimal = true
 	r.Certificate = CertRank
@@ -321,15 +247,6 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(opts.Portfolio.Strategies) > 0 {
-		// Validate strategy names up front: blocks resolve their racing
-		// sets lazily, so a typo would otherwise surface only on inputs
-		// hard enough to race (or never).
-		if _, err := resolveStrategies(m, opts); err != nil {
-			return nil, err
-		}
-	}
-
 	// Stage 1: Preprocess — work on the compressed matrix; lift the
 	// partition back at the end.
 	work := m
@@ -435,12 +352,6 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 		if br.Certificate > res.Certificate {
 			res.Certificate = br.Certificate
 		}
-		if opts.Portfolio.Enabled() {
-			if res.Portfolio == nil {
-				res.Portfolio = &PortfolioStats{Wins: map[string]int{}}
-			}
-			res.Portfolio.merge(br.Portfolio)
-		}
 	}
 	if !res.Optimal {
 		res.Certificate = CertNone
@@ -461,28 +372,11 @@ func wholeBlock(m *bitmat.Matrix) bitmat.Block {
 	return bitmat.Block{M: m, Rows: rows, Cols: cols}
 }
 
-// parallelism resolves the worker-pool width for nBlocks blocks. With
-// portfolio racing on, each block spawns K racer goroutines of its own, so
-// the block-level width shrinks to keep the total goroutine fan-out near
-// the configured parallelism.
+// parallelism resolves the worker-pool width for nBlocks blocks.
 func parallelism(opts Options, nBlocks int) int {
 	p := opts.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
-	}
-	if opts.Portfolio.Enabled() && opts.Portfolio.HeadStart < 0 {
-		// Immediate racing guarantees K goroutines per block, so shrink the
-		// block pool to keep the total fan-out near the configured width.
-		// With a head start (the default) most blocks stay solo and never
-		// spawn competitors — shrinking up front would idle cores — so the
-		// rare escalated block briefly oversubscribes instead.
-		k := opts.Portfolio.Size
-		if n := len(opts.Portfolio.Strategies); n > 0 {
-			k = n
-		}
-		if k > 1 {
-			p = (p + k - 1) / k
-		}
 	}
 	if p > nBlocks {
 		p = nBlocks
@@ -583,11 +477,9 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		bsp.SetAttr("fooling", "skipped")
 	}
 
-	optimalByBound := func() { res.markOptimalByBound() }
-
 	res.Partition = best
 	if best.Depth() <= lb {
-		optimalByBound()
+		res.markOptimalByBound()
 		return res, nil
 	}
 	if opts.SkipSAT || (opts.MaxSATEntries > 0 && m.Ones() > opts.MaxSATEntries) {
@@ -607,10 +499,6 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 	// Stage 2: SAT narrowing loop (Algorithm 1, lines 2–10).
 	tSAT := time.Now()
 	defer func() { res.SATTime = time.Since(tSAT) }()
-
-	if opts.Portfolio.Enabled() {
-		return solveBlockPortfolio(ctx, blockIdx, m, opts, conflictBudget, deadline, res, best, lb)
-	}
 
 	enc := newEncoder(m, best.Depth()-1, opts)
 	s := enc.Solver()
@@ -662,138 +550,9 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		}
 	}
 	if !res.TimedOut && best.Depth() <= lb {
-		optimalByBound()
-	}
-	return res, nil
-}
-
-// solveBlockPortfolio replaces the sequential narrowing loop with a
-// per-bound strategy race (internal/portfolio). The race decides statuses
-// only — those are properties of the matrix, so depth, optimality and
-// certificate come out identical to the sequential solver's. The race is
-// delayed: the canonical strategy runs alone with a conflict head start, so
-// easy blocks pay no racing overhead and keep the solo loop's own model.
-// Once competitors launch, the winning partition is re-derived by a fresh
-// canonical solver at the proven bound, a pure function of (matrix, bound,
-// options): race timing and the identity of the winning racer can change
-// only the stats, never the result.
-func solveBlockPortfolio(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, conflictBudget int64, deadline time.Time, res *Result, best *rect.Partition, lb int) (*Result, error) {
-	strategies, err := resolveStrategies(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	if obs.ProgressEvery(ctx) > 0 {
-		// Initial sample at SAT-stage start, mirroring installProgress.
-		obs.AddProgress(ctx, obs.ProgressSample{Time: time.Now(), Block: blockIdx, Bound: best.Depth() - 1, LB: lb})
-	}
-	out := portfolio.Race(ctx, portfolio.RaceSpec{
-		M:               m,
-		Block:           blockIdx,
-		Start:           best.Depth() - 1,
-		LB:              lb,
-		Strategies:      strategies,
-		StrategyBudgets: opts.Portfolio.StrategyBudgets,
-		ConflictBudget:  conflictBudget,
-		Deadline:        deadline,
-		ShareClauses:    opts.Portfolio.ShareClauses,
-		HeadStart:       opts.Portfolio.HeadStart,
-	})
-	res.SATCalls += out.Rounds
-	res.Conflicts += out.WinnerConflicts + out.LoserConflicts
-	res.Portfolio = &PortfolioStats{
-		Wins:           out.Wins,
-		BlockWinners:   []string{out.Winner},
-		LoserConflicts: out.LoserConflicts,
-		SharedExported: out.SharedExported,
-		SharedImported: out.SharedImported,
-	}
-	res.TimedOut = out.TimedOut
-	res.Canceled = out.Canceled
-
-	switch {
-	case out.BestBound >= 0 && out.Partition != nil:
-		// The race never escalated past the solo head start: the whole run
-		// was the deterministic canonical narrowing loop, and its own model
-		// at the final bound needs no re-derivation.
-		res.Partition = out.Partition
-	case out.BestBound >= 0:
-		// Materialize the model the race proved to exist. The sequential
-		// loop reads its models for free at each Sat verdict, so this solve
-		// is result materialization, not search — it gets a fresh copy of
-		// the full block budget instead of the race's leftovers (a proven-
-		// satisfiable bound that cannot be re-solved within a whole block
-		// budget is pathological, and the heuristic fallback below stays
-		// sound). Worst case the block spends 2× its budget; it never
-		// silently loses a result it paid for. Deadline and cancellation
-		// still apply — exactly the situations where the sequential solver
-		// would also return without this depth.
-		enc := newEncoder(m, out.BestBound, opts)
-		s := enc.Solver()
-		s.SetInterrupt(func() bool { return ctx.Err() != nil })
-		defer s.SetInterrupt(nil)
-		_, rsp := obs.StartSpan(ctx, "rederive")
-		rsp.SetAttrInt("bound", int64(out.BestBound))
-		status, spent := solveWithBudgets(ctx, enc, conflictBudget, deadline)
-		rsp.SetAttr("status", status.String())
-		rsp.SetAttrInt("conflicts", spent)
-		rsp.End()
-		res.SATCalls++
-		res.Conflicts += spent
-		switch status {
-		case sat.Sat:
-			p, err := enc.ReadPartition()
-			if err != nil {
-				return nil, fmt.Errorf("core: model readout failed: %w", err)
-			}
-			res.Partition = p
-		case sat.Unsat:
-			return nil, fmt.Errorf("core: internal error: race proved bound %d satisfiable but canonical re-derivation found UNSAT", out.BestBound)
-		default:
-			res.TimedOut = true
-			res.Canceled = ctx.Err() != nil
-			return res, nil // heuristic partition stands
-		}
-	}
-
-	// Reaching this point with UnsatProven means the partition really has
-	// the proven-optimal depth: either no bound was ever satisfiable
-	// (BestBound −1, the heuristic partition at Start+1 stands) or the
-	// re-derivation at BestBound succeeded (its failure paths return above).
-	switch {
-	case out.UnsatProven:
-		res.Optimal = true
-		res.Certificate = CertUnsat
-	case !res.TimedOut && res.Partition.Depth() <= lb:
 		res.markOptimalByBound()
 	}
 	return res, nil
-}
-
-// resolveStrategies builds the racing set for one block: the canonical
-// strategy mirrors the single-strategy options (so racer 0 is exactly the
-// solver a non-racing Solve would run), and the companions come either from
-// the explicitly named list or from the default diverse pool seeded by the
-// block's fingerprint.
-func resolveStrategies(m *bitmat.Matrix, opts Options) ([]portfolio.Strategy, error) {
-	base := portfolio.Strategy{
-		Name:               "canonical",
-		AMO:                opts.AMO,
-		Destructive:        opts.DisableIncremental,
-		NoSymmetryBreaking: opts.DisableSymmetryBreaking,
-		Solver:             sat.DefaultConfig(),
-	}
-	if opts.Encoding == EncodingLog {
-		base.Encoding = portfolio.EncodingLog
-	}
-	base.Solver.PhaseSaving = !opts.DisablePhaseSaving
-	base.Solver.Inprocess = !opts.DisableInprocessing
-	if opts.LBDCap > 0 {
-		base.Solver.LBDCap = opts.LBDCap
-	}
-	if names := opts.Portfolio.Strategies; len(names) > 0 {
-		return portfolio.Resolve(base, names)
-	}
-	return portfolio.DefaultStrategies(base, opts.Portfolio.Size, portfolio.Seed(m)), nil
 }
 
 // newEncoder builds the configured encoder at bound b. The default is the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/encode"
 )
 
 func TestSolveLogEncodingFullLoop(t *testing.T) {
@@ -101,20 +100,6 @@ func TestSolveFoolingCertificateBeatsRank(t *testing.T) {
 	}
 	if withF.Depth != noF.Depth {
 		t.Fatal("certificates disagree on depth")
-	}
-}
-
-func TestSolveAMOSequentialPath(t *testing.T) {
-	m := bitmat.MustParse("110\n011\n111")
-	opts := fastOptions()
-	opts.AMO = encode.AMOSequential
-	opts.FoolingBudget = 0
-	res, err := Solve(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Optimal || res.Depth != 3 {
-		t.Fatalf("sequential AMO: depth=%d optimal=%v", res.Depth, res.Optimal)
 	}
 }
 

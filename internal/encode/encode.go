@@ -41,9 +41,6 @@ const (
 	// AMOPairwise uses O(b²) binary clauses per entry (the classic encoding,
 	// kept as an ablation and differential baseline).
 	AMOPairwise
-	// AMOSequential uses the sequential counter with O(b) auxiliary
-	// variables and clauses per entry.
-	AMOSequential
 )
 
 // String names the AMO mode (flag values for -amo and wire options).
@@ -51,24 +48,23 @@ func (a AMO) String() string {
 	switch a {
 	case AMOPairwise:
 		return "pairwise"
-	case AMOSequential:
-		return "sequential"
 	default:
 		return "native"
 	}
 }
 
-// ParseAMO maps a mode name to the AMO enum.
+// ParseAMO maps a mode name to the AMO enum. "sequential" names the removed
+// sequential-counter encoding and stays accepted as an alias of native:
+// every mode yields the same depths, partitions and certificates, and the
+// "api":1 wire contract keeps accepted option values accepted.
 func ParseAMO(name string) (AMO, error) {
 	switch name {
-	case "", "native":
+	case "", "native", "sequential":
 		return AMONative, nil
 	case "pairwise":
 		return AMOPairwise, nil
-	case "sequential":
-		return AMOSequential, nil
 	}
-	return AMONative, fmt.Errorf("encode: unknown AMO mode %q (valid: native, pairwise, sequential)", name)
+	return AMONative, fmt.Errorf("encode: unknown AMO mode %q (valid: native, pairwise)", name)
 }
 
 // Encoder is the common interface of the two compilations. A fresh encoder
@@ -87,14 +83,6 @@ type Encoder interface {
 	// ReadPartition extracts the rectangle partition from the last Sat
 	// model.
 	ReadPartition() (*rect.Partition, error)
-	// CoreVars returns the count of leading solver variables whose meaning
-	// is a function of (matrix, built bound) alone — identical across every
-	// encoder of the same family built for the same matrix and initial
-	// bound, regardless of AMO encoding, symmetry breaking or incremental
-	// mode. Learnt clauses mentioning only variables below this count may
-	// soundly be exchanged between such encoders (portfolio clause
-	// sharing). 0 means the encoding exposes no shareable variable space.
-	CoreVars() int
 }
 
 // entryIndex enumerates the 1-entries of m in row-major order — the index

@@ -12,16 +12,15 @@ import (
 // encoders under test, by name.
 func allEncoders(m *bitmat.Matrix, b int) map[string]Encoder {
 	return map[string]Encoder{
-		"onehot-native":     NewOneHot(m, b, AMONative),
-		"onehot-pairwise":   NewOneHot(m, b, AMOPairwise),
-		"onehot-sequential": NewOneHot(m, b, AMOSequential),
-		"log":               NewLog(m, b),
+		"onehot-native":   NewOneHot(m, b, AMONative),
+		"onehot-pairwise": NewOneHot(m, b, AMOPairwise),
+		"log":             NewLog(m, b),
 	}
 }
 
-// amoModes is the differential matrix for the three at-most-one encodings of
+// amoModes is the differential matrix for the two at-most-one encodings of
 // the one-hot compilation.
-var amoModes = []AMO{AMONative, AMOPairwise, AMOSequential}
+var amoModes = []AMO{AMONative, AMOPairwise}
 
 // bruteBinaryRank computes r_B(M) by brute-force search over partitions of
 // the 1-entries into rectangles (exponential; tiny matrices only). It works
@@ -302,7 +301,7 @@ func narrowedDepth(t *testing.T, m *bitmat.Matrix, mode AMO) int {
 }
 
 // TestAMOModesAgreeOnCorpus narrows every seed-corpus matrix to its optimal
-// depth under each of the three AMO encodings: the depths must be identical
+// depth under each of the two AMO encodings: the depths must be identical
 // and every intermediate model must decode to a valid partition.
 func TestAMOModesAgreeOnCorpus(t *testing.T) {
 	corpus := []*bitmat.Matrix{
@@ -329,7 +328,7 @@ func TestAMOModesAgreeOnCorpus(t *testing.T) {
 	}
 }
 
-// FuzzAMOEquivalence: for any small matrix and bound, the three AMO
+// FuzzAMOEquivalence: for any small matrix and bound, the two AMO
 // encodings must agree on satisfiability, and SAT models must decode to
 // valid partitions within the bound.
 func FuzzAMOEquivalence(f *testing.F) {
@@ -350,7 +349,7 @@ func FuzzAMOEquivalence(f *testing.F) {
 			return
 		}
 		b := int(bound)%m.Ones() + 1
-		var status [3]sat.Status
+		var status [2]sat.Status
 		for i, mode := range amoModes {
 			e := NewOneHot(m, b, mode)
 			status[i] = e.Solve()
@@ -364,9 +363,9 @@ func FuzzAMOEquivalence(f *testing.F) {
 				}
 			}
 		}
-		if status[0] != status[1] || status[1] != status[2] {
-			t.Fatalf("AMO modes disagree at b=%d: native=%v pairwise=%v sequential=%v\n%s",
-				b, status[0], status[1], status[2], m)
+		if status[0] != status[1] {
+			t.Fatalf("AMO modes disagree at b=%d: native=%v pairwise=%v\n%s",
+				b, status[0], status[1], m)
 		}
 	})
 }

@@ -171,11 +171,6 @@ func (e *Log) addEqualUnless(neq sat.Var, a, cross int) {
 // Bound returns the current rectangle budget.
 func (e *Log) Bound() int { return e.b }
 
-// CoreVars returns 0: the log encoding interleaves difference auxiliaries
-// with the per-entry bit words, so no stable shared variable prefix exists
-// and log-encoded racers do not participate in clause sharing.
-func (e *Log) CoreVars() int { return 0 }
-
 // Solver exposes the SAT solver.
 func (e *Log) Solver() *sat.Solver { return e.s }
 

@@ -210,8 +210,6 @@ func (e *OneHot) addSlotOrdering() {
 // addAMO constrains at most one of vs to be true.
 func (e *OneHot) addAMO(vs []sat.Var, amo AMO) {
 	switch amo {
-	case AMOSequential:
-		e.addAMOSequential(vs)
 	case AMOPairwise:
 		for a := 0; a < len(vs); a++ {
 			for b := a + 1; b < len(vs); b++ {
@@ -227,44 +225,8 @@ func (e *OneHot) addAMO(vs []sat.Var, amo AMO) {
 	}
 }
 
-// addAMOSequential is the sequential-counter at-most-one: s_k carries
-// "some x_{≤k} is true".
-func (e *OneHot) addAMOSequential(vs []sat.Var) {
-	if len(vs) <= 1 {
-		return
-	}
-	prev := sat.Var(-1)
-	for k, x := range vs {
-		if k == len(vs)-1 {
-			if prev >= 0 {
-				e.s.AddClause(sat.NegLit(x), sat.NegLit(prev))
-			}
-			break
-		}
-		sk := e.s.NewVar()
-		e.s.AddClause(sat.NegLit(x), sat.PosLit(sk))
-		if prev >= 0 {
-			e.s.AddClause(sat.NegLit(prev), sat.PosLit(sk))
-			e.s.AddClause(sat.NegLit(x), sat.NegLit(prev))
-		}
-		prev = sk
-	}
-}
-
 // Bound returns the current rectangle budget.
 func (e *OneHot) Bound() int { return e.b }
-
-// CoreVars returns the size of the x[e][k] variable block: the first
-// len(entries)×built variables are the entry-slot indicators, allocated in
-// the same order by every one-hot encoder over the same matrix and initial
-// bound (AMO/ordering/selector auxiliaries all come later). Clauses over
-// this prefix are safe to share between one-hot racers.
-func (e *OneHot) CoreVars() int {
-	if len(e.idx.pos) == 0 || e.built < 1 {
-		return 0
-	}
-	return len(e.idx.pos) * e.built
-}
 
 // Solver exposes the SAT solver.
 func (e *OneHot) Solver() *sat.Solver { return e.s }

@@ -103,9 +103,10 @@ func TestInprocessVivification(t *testing.T) {
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 	_ = c
 	s.AddClause(PosLit(a), PosLit(b)) // ¬a → b
-	if !s.ImportLearnt([]Lit{PosLit(a), PosLit(b), PosLit(c)}, 2) {
-		t.Fatal("import refused")
-	}
+	learnt := s.ca.alloc([]Lit{PosLit(a), PosLit(b), PosLit(c)}, true)
+	s.ca.setLBD(learnt, 2)
+	s.learnts = append(s.learnts, learnt)
+	s.attachClause(learnt)
 	s.vivifySweep()
 	if s.InprocStrengthened != 1 {
 		t.Fatalf("InprocStrengthened = %d, want 1", s.InprocStrengthened)

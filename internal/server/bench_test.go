@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -65,7 +66,9 @@ func BenchmarkServerCacheHit(b *testing.B) {
 }
 
 // BenchmarkServerHTTPCacheHit measures the full HTTP round trip for a cached
-// solve — JSON decode, admission, cache hit, JSON encode.
+// solve — JSON decode, admission, cache hit, JSON encode. Bodies are drained
+// before closing so the client keeps one connection alive: an undrained
+// close makes every op dial a fresh TCP connection.
 func BenchmarkServerHTTPCacheHit(b *testing.B) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -75,6 +78,7 @@ func BenchmarkServerHTTPCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	io.Copy(io.Discard, warm.Body)
 	warm.Body.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -83,6 +87,7 @@ func BenchmarkServerHTTPCacheHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 }

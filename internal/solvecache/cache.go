@@ -468,7 +468,6 @@ func liftResult(res *core.Result, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit 
 		out.Conflicts = 0
 		out.PackTime = 0
 		out.SATTime = 0
-		out.Portfolio = nil // racing stats describe the original solve's work
 	}
 	return &out, nil
 }

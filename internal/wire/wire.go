@@ -29,6 +29,13 @@
 //     server's advertised version first.
 //   - Semantic changes — repurposed fields, changed defaults, removed
 //     endpoints — require bumping V. There has been no such change yet.
+//   - A request field whose mechanism is removed stays decodable as a
+//     documented no-op, and its input checks stay. So far these are the
+//     racing options "portfolio", "portfolio_strategies" and
+//     "share_clauses": racing never changed a depth, partition or
+//     certificate, so a request carrying them gets the answer it got
+//     before. Their optional "portfolio" response object is gone; it was
+//     already absent whenever racing was off.
 //
 // # Error envelope
 //
@@ -41,13 +48,14 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bitmat"
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 )
 
 // V1 is the current wire schema version. See the package comment for the
@@ -86,8 +94,9 @@ type SolveOptions struct {
 	// Encoding selects the CNF compilation: "onehot" (default) or "log".
 	Encoding string `json:"encoding,omitempty"`
 	// AMO selects the at-most-one handling of the one-hot compilation:
-	// "native" (default — the solver's built-in propagator), "pairwise" or
-	// "sequential" (the encoded ablations).
+	// "native" (default — the solver's built-in propagator) or "pairwise"
+	// (the encoded ablation). "sequential" is accepted as an alias of
+	// "native": the sequential-counter encoding was removed.
 	AMO string `json:"amo,omitempty"`
 	// ConflictBudget bounds total SAT conflicts (<0 forces unlimited where
 	// the deployment allows it; 0 keeps the default).
@@ -96,17 +105,26 @@ type SolveOptions struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Heuristic skips the exact SAT stage.
 	Heuristic bool `json:"heuristic,omitempty"`
-	// Portfolio races K diverse solver strategies per block (0 keeps the
-	// single-strategy default; servers clamp K to their configured
-	// maximum).
+	// Portfolio has no effect. It once raced K solver strategies per
+	// block; the field stays decodable under the V1 contract, and a
+	// request carrying it gets the same result as one without it.
 	Portfolio int `json:"portfolio,omitempty"`
-	// PortfolioStrategies names the racing set explicitly ("canonical"
-	// plus names from portfolio.Names()); empty means a default diverse
-	// set seeded from each block's fingerprint. Setting it implies racing
-	// even when Portfolio is 0.
+	// PortfolioStrategies has no effect beyond input checking: each name
+	// must be one of the strategy names the service once raced
+	// (formerStrategies), else the request is a bad_request.
 	PortfolioStrategies []string `json:"portfolio_strategies,omitempty"`
-	// ShareClauses exchanges short learnt clauses between racers.
+	// ShareClauses has no effect. It once exchanged learnt clauses
+	// between racing strategies.
 	ShareClauses bool `json:"share_clauses,omitempty"`
+}
+
+// formerStrategies are the strategy names "portfolio_strategies" accepted
+// while the service raced solver strategies. The list is frozen: the
+// racing fields are V1 no-ops, but a name outside it stays a 400, as it
+// was before.
+var formerStrategies = []string{
+	"canonical", "destructive", "luby", "no-phase", "seq-amo", "native-amo",
+	"pairwise-amo", "glue4", "no-symbreak", "luby-destructive", "log",
 }
 
 // ErrNoMatrix is returned when a request carries neither form of the matrix.
@@ -172,18 +190,10 @@ func (o *SolveOptions) Apply(base core.Options) (core.Options, time.Duration, er
 		}
 	}
 	opts.SkipSAT = opts.SkipSAT || o.Heuristic
-	if o.Portfolio > 0 {
-		opts.Portfolio.Size = o.Portfolio
-	}
-	if len(o.PortfolioStrategies) > 0 {
-		// Validate names here so a typo is a 400, not a mid-solve error.
-		if _, err := portfolio.Resolve(portfolio.Canonical(), o.PortfolioStrategies); err != nil {
-			return opts, 0, err
+	for _, name := range o.PortfolioStrategies {
+		if !slices.Contains(formerStrategies, name) {
+			return opts, 0, fmt.Errorf("wire: unknown strategy %q (valid: %s)", name, strings.Join(formerStrategies, ", "))
 		}
-		opts.Portfolio.Strategies = o.PortfolioStrategies
-	}
-	if o.ShareClauses {
-		opts.Portfolio.ShareClauses = true
 	}
 	var timeout time.Duration
 	if o.TimeoutMS > 0 {
@@ -207,43 +217,28 @@ type RectJSON struct {
 // fooling budget is 0 (see core.Result.FoolingLB).
 type ResultJSON struct {
 	// API echoes the wire schema version the result was produced under.
-	API            int            `json:"api,omitempty"`
-	Depth          int            `json:"depth"`
-	Optimal        bool           `json:"optimal"`
-	Certificate    string         `json:"certificate"`
-	RankLB         int            `json:"rank_lb"`
-	FoolingLB      int            `json:"fooling_lb"`
-	HeuristicDepth int            `json:"heuristic_depth"`
-	Blocks         int            `json:"blocks"`
-	TimedOut       bool           `json:"timed_out,omitempty"`
-	Canceled       bool           `json:"canceled,omitempty"`
-	CacheHit       bool           `json:"cache_hit"`
-	SATCalls       int            `json:"sat_calls"`
-	Conflicts      int64          `json:"conflicts"`
-	PackNS         int64          `json:"pack_ns"`
-	SATNS          int64          `json:"sat_ns"`
-	Fingerprint    string         `json:"fingerprint,omitempty"`
-	Portfolio      *PortfolioJSON `json:"portfolio,omitempty"`
+	API            int    `json:"api,omitempty"`
+	Depth          int    `json:"depth"`
+	Optimal        bool   `json:"optimal"`
+	Certificate    string `json:"certificate"`
+	RankLB         int    `json:"rank_lb"`
+	FoolingLB      int    `json:"fooling_lb"`
+	HeuristicDepth int    `json:"heuristic_depth"`
+	Blocks         int    `json:"blocks"`
+	TimedOut       bool   `json:"timed_out,omitempty"`
+	Canceled       bool   `json:"canceled,omitempty"`
+	CacheHit       bool   `json:"cache_hit"`
+	SATCalls       int    `json:"sat_calls"`
+	Conflicts      int64  `json:"conflicts"`
+	PackNS         int64  `json:"pack_ns"`
+	SATNS          int64  `json:"sat_ns"`
+	Fingerprint    string `json:"fingerprint,omitempty"`
 	// Trace carries the serving tier's finished span tree back to the
 	// requester. Attached only when the request arrived with a traceparent
 	// header (a gateway asking for the spans to stitch into its own trace);
 	// gateways strip it before caching or answering clients.
 	Trace     *obs.TraceJSON `json:"trace,omitempty"`
 	Partition []RectJSON     `json:"partition"`
-}
-
-// PortfolioJSON is the wire form of core.PortfolioStats (present only when
-// the solve raced).
-type PortfolioJSON struct {
-	// Wins counts race-round wins per strategy name.
-	Wins map[string]int `json:"wins"`
-	// BlockWinners is the deciding strategy per block, in block order.
-	BlockWinners []string `json:"block_winners"`
-	// CancelledConflicts is the work spent by cancelled racers.
-	CancelledConflicts int64 `json:"cancelled_conflicts"`
-	// SharedClauseExports and SharedClauseImports count exchange traffic.
-	SharedClauseExports int64 `json:"shared_clause_exports"`
-	SharedClauseImports int64 `json:"shared_clause_imports"`
 }
 
 // FromResult converts a solver result to its wire form. fingerprint may be
@@ -267,15 +262,6 @@ func FromResult(res *core.Result, fingerprint string) *ResultJSON {
 		SATNS:          res.SATTime.Nanoseconds(),
 		Fingerprint:    fingerprint,
 		Partition:      make([]RectJSON, 0, res.Depth),
-	}
-	if res.Portfolio != nil {
-		out.Portfolio = &PortfolioJSON{
-			Wins:                res.Portfolio.Wins,
-			BlockWinners:        res.Portfolio.BlockWinners,
-			CancelledConflicts:  res.Portfolio.LoserConflicts,
-			SharedClauseExports: res.Portfolio.SharedExported,
-			SharedClauseImports: res.Portfolio.SharedImported,
-		}
 	}
 	for _, r := range res.Partition.Rects {
 		out.Partition = append(out.Partition, RectJSON{

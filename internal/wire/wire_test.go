@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/encode"
 )
 
 // roundTrip marshals v, unmarshals into a fresh value of the same type, and
@@ -45,13 +46,6 @@ func TestRoundTripEveryWireType(t *testing.T) {
 		PackNS:         5000,
 		SATNS:          60000,
 		Fingerprint:    "abc123",
-		Portfolio: &PortfolioJSON{
-			Wins:                map[string]int{"canonical": 2, "luby": 1},
-			BlockWinners:        []string{"canonical", "luby"},
-			CancelledConflicts:  99,
-			SharedClauseExports: 3,
-			SharedClauseImports: 4,
-		},
 		Partition: []RectJSON{
 			{Rows: []int{0, 2}, Cols: []int{1}},
 			{Rows: []int{1}, Cols: []int{0, 3}},
@@ -81,7 +75,6 @@ func TestRoundTripEveryWireType(t *testing.T) {
 		{"RectJSON/empty", &RectJSON{Rows: []int{}, Cols: []int{}}},
 		{"ResultJSON/full", fullResult},
 		{"ResultJSON/minimal", &ResultJSON{Depth: 0, Partition: []RectJSON{}}},
-		{"PortfolioJSON", fullResult.Portfolio},
 		{"BatchRequest", &BatchRequest{Requests: []SolveRequest{
 			{Matrix: "1"}, {Rows: [][]int{{1}}},
 		}}},
@@ -114,7 +107,6 @@ func TestUnknownFieldTolerance(t *testing.T) {
 		dst  any
 	}{
 		{"ResultJSON", `{"depth":2,"optimal":true,"partition":[],"future_field":{"a":[1,2]}}`, &ResultJSON{}},
-		{"PortfolioJSON", `{"wins":{"luby":1},"novel_counter":7}`, &PortfolioJSON{}},
 		{"BatchResponse", `{"results":[{"result":null,"error":"x","retry_hint_ms":50}],"page":1}`, &BatchResponse{}},
 		{"ErrorResponse", `{"error":"nope","code":"QUEUE_FULL"}`, &ErrorResponse{}},
 		{"SolveRequest", `{"matrix":"1","priority":"high"}`, &SolveRequest{}},
@@ -208,7 +200,7 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if opts.Packing.Trials != 7 || opts.Encoding != core.EncodingLog ||
-		opts.Portfolio.Size != 3 || timeout.Milliseconds() != 1500 {
+		timeout.Milliseconds() != 1500 {
 		t.Fatalf("overlay lost fields: %+v timeout=%v", opts, timeout)
 	}
 	if _, _, err := (&SolveOptions{Encoding: "cnf3"}).Apply(base); err == nil {
@@ -221,6 +213,41 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 	opts, timeout, err = (*SolveOptions)(nil).Apply(base)
 	if err != nil || timeout != 0 || !reflect.DeepEqual(opts, base) {
 		t.Fatalf("nil options changed the base: %+v (%v, %v)", opts, timeout, err)
+	}
+}
+
+// TestApplyRacingFieldsAreNoOps: the V1 racing options decode and pass
+// input checks (every former strategy name is accepted) but leave the
+// effective solver options exactly as a request without them would.
+func TestApplyRacingFieldsAreNoOps(t *testing.T) {
+	base := core.DefaultOptions()
+	plain := &SolveOptions{Trials: 9, AMO: "pairwise"}
+	racing := *plain
+	racing.Portfolio = 3
+	racing.ShareClauses = true
+	racing.PortfolioStrategies = formerStrategies
+	want, _, err := plain.Apply(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := racing.Apply(base)
+	if err != nil {
+		t.Fatalf("racing fields rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("racing fields changed the options:\n got %+v\nwant %+v", got, want)
+	}
+	if len(formerStrategies) != 11 {
+		t.Fatalf("the former strategy list is frozen at 11 names, has %d", len(formerStrategies))
+	}
+}
+
+// TestApplySequentialAMOIsNative: "sequential" names the removed
+// sequential-counter encoding and stays accepted as native.
+func TestApplySequentialAMOIsNative(t *testing.T) {
+	opts, _, err := (&SolveOptions{AMO: "sequential"}).Apply(core.DefaultOptions())
+	if err != nil || opts.AMO != encode.AMONative {
+		t.Fatalf("amo=sequential: %v, %v", opts.AMO, err)
 	}
 }
 
